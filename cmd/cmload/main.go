@@ -138,8 +138,8 @@ func main() {
 
 	rep := report{
 		Schedule: *schedSpec, Keys: *keysN, Arrivals: len(updates),
-		DeadlineMs: float64(*deadline) / float64(time.Millisecond),
-		OfferedRate: float64(len(updates)) / sched.Total().Seconds(),
+		DeadlineMs:   float64(*deadline) / float64(time.Millisecond),
+		OfferedRate:  float64(len(updates)) / sched.Total().Seconds(),
 		DeadlineMiss: -1, Lost: -1,
 	}
 

@@ -50,28 +50,36 @@ func (k Kind) String() string {
 }
 
 // Value is an immutable tagged scalar.  The zero Value is Null.
+//
+// The numeric and boolean payloads share one 64-bit word — int bits,
+// math.Float64bits, or 0/1 — so a Value is 32 bytes; values are stored by
+// the million in retained traces.  Two Values must be compared with
+// Equal, never ==: the word holds float bits, so -0 and 0 differ there.
 type Value struct {
 	kind Kind
-	i    int64
-	f    float64
+	w    uint64
 	s    string
-	b    bool
 }
 
 // NullValue is the null Value.
 var NullValue = Value{}
 
 // NewInt returns an Int value.
-func NewInt(i int64) Value { return Value{kind: Int, i: i} }
+func NewInt(i int64) Value { return Value{kind: Int, w: uint64(i)} }
 
 // NewFloat returns a Float value.
-func NewFloat(f float64) Value { return Value{kind: Float, f: f} }
+func NewFloat(f float64) Value { return Value{kind: Float, w: math.Float64bits(f)} }
 
 // NewString returns a String value.
 func NewString(s string) Value { return Value{kind: String, s: s} }
 
 // NewBool returns a Bool value.
-func NewBool(b bool) Value { return Value{kind: Bool, b: b} }
+func NewBool(b bool) Value {
+	if b {
+		return Value{kind: Bool, w: 1}
+	}
+	return Value{kind: Bool}
+}
 
 // Kind reports the value's kind.
 func (v Value) Kind() Kind { return v.kind }
@@ -79,26 +87,39 @@ func (v Value) Kind() Kind { return v.kind }
 // IsNull reports whether the value is Null.
 func (v Value) IsNull() bool { return v.kind == Null }
 
-// Int returns the integer payload; valid only when Kind()==Int.
-func (v Value) Int() int64 { return v.i }
+// Int returns the integer payload; valid only when Kind()==Int (0
+// otherwise).
+func (v Value) Int() int64 {
+	if v.kind != Int {
+		return 0
+	}
+	return int64(v.w)
+}
 
-// Float returns the float payload; valid only when Kind()==Float.
-func (v Value) Float() float64 { return v.f }
+// Float returns the float payload; valid only when Kind()==Float (0
+// otherwise).
+func (v Value) Float() float64 {
+	if v.kind != Float {
+		return 0
+	}
+	return math.Float64frombits(v.w)
+}
 
 // Str returns the string payload; valid only when Kind()==String.
 func (v Value) Str() string { return v.s }
 
-// Bool returns the bool payload; valid only when Kind()==Bool.
-func (v Value) Bool() bool { return v.b }
+// Bool returns the bool payload; valid only when Kind()==Bool (false
+// otherwise).
+func (v Value) Bool() bool { return v.kind == Bool && v.w != 0 }
 
 // AsFloat converts numeric values to float64.  The second result is false
 // for non-numeric values.
 func (v Value) AsFloat() (float64, bool) {
 	switch v.kind {
 	case Int:
-		return float64(v.i), true
+		return float64(int64(v.w)), true
 	case Float:
-		return v.f, true
+		return math.Float64frombits(v.w), true
 	default:
 		return 0, false
 	}
@@ -109,11 +130,11 @@ func (v Value) AsFloat() (float64, bool) {
 func (v Value) Truthy() bool {
 	switch v.kind {
 	case Bool:
-		return v.b
+		return v.w != 0
 	case Int:
-		return v.i != 0
+		return v.w != 0
 	case Float:
-		return v.f != 0
+		return v.Float() != 0
 	case String:
 		return v.s != ""
 	default:
@@ -139,7 +160,7 @@ func (v Value) Equal(w Value) bool {
 	}
 	switch v.kind {
 	case Bool:
-		return v.b == w.b
+		return v.w == w.w
 	case String:
 		return v.s == w.s
 	}
@@ -171,14 +192,7 @@ func (v Value) Compare(w Value) (int, bool) {
 	case String:
 		return strings.Compare(v.s, w.s), true
 	case Bool:
-		vi, wi := 0, 0
-		if v.b {
-			vi = 1
-		}
-		if w.b {
-			wi = 1
-		}
-		return vi - wi, true
+		return int(v.w) - int(w.w), true
 	default:
 		return 0, false
 	}
@@ -195,28 +209,29 @@ func Arith(op byte, a, b Value) (Value, error) {
 		return NullValue, fmt.Errorf("data: arithmetic %c on non-numeric values %s, %s", op, a, b)
 	}
 	bothInt := a.kind == Int && b.kind == Int
+	ai, bi := a.Int(), b.Int()
 	switch op {
 	case '+':
 		if bothInt {
-			return NewInt(a.i + b.i), nil
+			return NewInt(ai + bi), nil
 		}
 		return NewFloat(af + bf), nil
 	case '-':
 		if bothInt {
-			return NewInt(a.i - b.i), nil
+			return NewInt(ai - bi), nil
 		}
 		return NewFloat(af - bf), nil
 	case '*':
 		if bothInt {
-			return NewInt(a.i * b.i), nil
+			return NewInt(ai * bi), nil
 		}
 		return NewFloat(af * bf), nil
 	case '/':
 		if bf == 0 {
 			return NullValue, fmt.Errorf("data: division by zero")
 		}
-		if bothInt && a.i%b.i == 0 {
-			return NewInt(a.i / b.i), nil
+		if bothInt && ai%bi == 0 {
+			return NewInt(ai / bi), nil
 		}
 		return NewFloat(af / bf), nil
 	default:
@@ -228,12 +243,12 @@ func Arith(op byte, a, b Value) (Value, error) {
 func Abs(v Value) (Value, error) {
 	switch v.kind {
 	case Int:
-		if v.i < 0 {
-			return NewInt(-v.i), nil
+		if i := v.Int(); i < 0 {
+			return NewInt(-i), nil
 		}
 		return v, nil
 	case Float:
-		return NewFloat(math.Abs(v.f)), nil
+		return NewFloat(math.Abs(v.Float())), nil
 	default:
 		return NullValue, fmt.Errorf("data: abs of non-numeric value %s", v)
 	}
@@ -246,11 +261,11 @@ func (v Value) String() string {
 	case Null:
 		return "null"
 	case Bool:
-		return strconv.FormatBool(v.b)
+		return strconv.FormatBool(v.Bool())
 	case Int:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(v.Int(), 10)
 	case Float:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.Float(), 'g', -1, 64)
 	case String:
 		return strconv.Quote(v.s)
 	default:

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 
 	"cmtk/internal/data"
 )
@@ -308,5 +309,17 @@ func TestQuickOpMismatchNeverMatches(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestEventSize guards the retained trace's per-event footprint: a Desc
+// holds two 32-byte data.Values, and an Event fits the 240-byte layout
+// the packed values give it.
+func TestEventSize(t *testing.T) {
+	if got := unsafe.Sizeof(Event{}); got > 240 {
+		t.Errorf("unsafe.Sizeof(Event{}) = %d, want <= 240", got)
+	}
+	if got := unsafe.Sizeof(Desc{}); got > 120 {
+		t.Errorf("unsafe.Sizeof(Desc{}) = %d, want <= 120", got)
 	}
 }

@@ -25,7 +25,7 @@ func TestWriteTextGolden(t *testing.T) {
 	fires.With("shell-B", "received").Add(3)
 	reg.Counter("plain_total", "").With().Add(42)
 	reg.Counter("escape_total", `help with \ and
-newline`, "l").With(`va"l\ue`+"\n").Inc()
+newline`, "l").With(`va"l\ue` + "\n").Inc()
 	reg.Gauge("cmtk_transport_outbox_depth", "Unacked messages buffered.", "peer").With("shell-B").Set(-2)
 	h := reg.Histogram("cmtk_shell_fire_latency_seconds", "Trigger-to-execution delay.", []float64{0.005, 0.05, 0.5, 2.5}, "shell")
 	for _, v := range []float64{0.001, 0.05, 0.3, 10} {

@@ -72,10 +72,13 @@ type exec struct {
 	s        *Shell
 	scratchB event.Bindings
 	evalEnv  shellEnv
+	free     []event.Bindings // cleared firing bindings for reuse (copyBindings)
 	// unit is non-nil while a parallel unit is running on this exec;
 	// record and dispatch buffer into it instead of touching the trace and
-	// transport directly.
+	// transport directly.  It points at buf, whose slices and ring are
+	// reused from unit to unit.
 	unit    *unit
+	buf     unit
 	latency *obs.Histogram
 	// one is record's scratch slice for the sharded serial path, which
 	// commits single events through AppendUnit without allocating.
@@ -92,6 +95,36 @@ func newExec(s *Shell, part int) *exec {
 	return x
 }
 
+// bindingsFreeCap bounds an exec's free list.  One map is out per queued
+// local firing, so a small cap covers common cascades; deeper ones allocate.
+const bindingsFreeCap = 16
+
+// copyBindings copies a match's scratch bindings into a map from the free
+// list (or a new one) for a firing.  The firing's owner hands the map
+// back through releaseBindings once its RHS has run on this exec; a map
+// that leaves the exec in a remote send is never handed back.
+func (x *exec) copyBindings(b event.Bindings) event.Bindings {
+	var out event.Bindings
+	if n := len(x.free); n > 0 {
+		out, x.free = x.free[n-1], x.free[:n-1]
+	} else {
+		out = make(event.Bindings, len(b)+1) // +1: executeSteps binds "now"
+	}
+	for k, v := range b {
+		out[k] = v
+	}
+	return out
+}
+
+// releaseBindings returns a firing's map to the free list.  The caller
+// must hold the only reference to it.
+func (x *exec) releaseBindings(b event.Bindings) {
+	if len(x.free) < bindingsFreeCap {
+		clear(b)
+		x.free = append(x.free, b)
+	}
+}
+
 // unit buffers one atom of parallel work until its commit point.
 type unit struct {
 	events []*event.Event // trace appends, in processing order
@@ -99,7 +132,7 @@ type unit struct {
 	// cont queues local cascade continuations, replacing the serial post
 	// queue inside the unit: an event's other matches run before the
 	// firings it caused, exactly like the run-to-completion queue.
-	cont funcRing
+	cont ring[task]
 }
 
 // pendingSend is one remote rule firing awaiting its unit's commit; the
@@ -116,38 +149,7 @@ type pendingSend struct {
 // queuedUnit is one admitted-but-not-yet-run unit on a partition queue.
 type queuedUnit struct {
 	fp partMask
-	fn func(*exec)
-}
-
-// unitRing is a FIFO ring buffer of queued units (same shape as
-// funcRing).
-type unitRing struct {
-	buf  []queuedUnit
-	head int
-	n    int
-}
-
-func (r *unitRing) push(u queuedUnit) {
-	if r.n == len(r.buf) {
-		grown := make([]queuedUnit, max(8, 2*len(r.buf)))
-		for i := 0; i < r.n; i++ {
-			grown[i] = r.buf[(r.head+i)%len(r.buf)]
-		}
-		r.buf, r.head = grown, 0
-	}
-	r.buf[(r.head+r.n)%len(r.buf)] = u
-	r.n++
-}
-
-func (r *unitRing) pop() (queuedUnit, bool) {
-	if r.n == 0 {
-		return queuedUnit{}, false
-	}
-	u := r.buf[r.head]
-	r.buf[r.head] = queuedUnit{}
-	r.head = (r.head + 1) % len(r.buf)
-	r.n--
-	return u, true
+	t  task
 }
 
 // partition is one lock stripe of the parallel engine: a FIFO unit queue
@@ -157,7 +159,7 @@ func (r *unitRing) pop() (queuedUnit, bool) {
 type partition struct {
 	mu   sync.Mutex // guards q; cond signals both the worker and AdmitBlock waiters
 	cond *sync.Cond
-	q    unitRing
+	q    ring[queuedUnit]
 	// dataMu is the footprint lock: held, in ascending partition order
 	// with the rest of the unit's footprint, while any unit that can touch
 	// this partition's item bases runs.
@@ -367,7 +369,7 @@ func (p *parallel) isWorker(gid uint64) bool {
 // enqueue admits one unit onto a partition queue, applying the shell's
 // admission policy per partition.  It reports whether the unit was
 // admitted.
-func (p *parallel) enqueue(home int, fp partMask, external bool, fn func(*exec)) bool {
+func (p *parallel) enqueue(home int, fp partMask, external bool, t task) bool {
 	if p.closed.Load() {
 		return false
 	}
@@ -398,7 +400,7 @@ func (p *parallel) enqueue(home int, fp partMask, external bool, fn func(*exec))
 	p.pendMu.Lock()
 	p.pending++
 	p.pendMu.Unlock()
-	pt.q.push(queuedUnit{fp: fp, fn: fn})
+	pt.q.push(queuedUnit{fp: fp, t: t})
 	pt.depth.Set(int64(pt.q.n))
 	pt.cond.Broadcast()
 	pt.mu.Unlock()
@@ -439,11 +441,11 @@ func (p *parallel) runUnit(pt *partition, qu queuedUnit) {
 		}
 	}
 	x := pt.eng
-	u := &unit{}
+	u := &x.buf
 	x.unit = u
-	qu.fn(x)
-	for f := u.cont.pop(); f != nil; f = u.cont.pop() {
-		f()
+	x.run(&qu.t)
+	for t, ok := u.cont.pop(); ok; t, ok = u.cont.pop() {
+		x.run(&t)
 	}
 	x.unit = nil
 	if len(u.events) > 0 || len(u.sends) > 0 {
@@ -456,6 +458,11 @@ func (p *parallel) runUnit(pt *partition, qu queuedUnit) {
 			}
 		})
 	}
+	// The trace and the sender queue keep the events and sends, not these
+	// slices, so the buffers are cleared for the next unit.
+	clear(u.events)
+	clear(u.sends)
+	u.events, u.sends = u.events[:0], u.sends[:0]
 	for i := len(p.parts) - 1; i >= 0; i-- {
 		if qu.fp&(1<<i) != 0 {
 			p.parts[i].dataMu.Unlock()
@@ -538,40 +545,35 @@ func (p *parallel) close() {
 	p.senderWG.Wait()
 }
 
-// execSerial runs fn on the serial engine's post queue.
-func (s *Shell) execSerial(external bool, fn func(*exec)) bool {
-	return s.enqueue(func() { fn(s.eng) }, external)
-}
-
 // execBase routes a unit keyed by item base: admission is FIFO per base
 // (the base's home partition queue), and the unit locks the base's
 // closure footprint.
-func (s *Shell) execBase(base string, external bool, fn func(*exec)) bool {
+func (s *Shell) execBase(base string, external bool, t task) bool {
 	if s.par == nil {
-		return s.execSerial(external, fn)
+		return s.enqueue(t, external)
 	}
-	return s.par.enqueue(s.par.partOf(base), s.par.baseFootprint(base), external, fn)
+	return s.par.enqueue(s.par.partOf(base), s.par.baseFootprint(base), external, t)
 }
 
 // execRuleKey routes a rule-firing unit with an explicit ordering key:
 // units sharing a key share a partition queue and therefore commit in
 // admission order (per-link for inbound fires, per-rule for delayed
 // dispatches).
-func (s *Shell) execRuleKey(key string, r *rule.Rule, external bool, fn func(*exec)) bool {
+func (s *Shell) execRuleKey(key string, r *rule.Rule, external bool, t task) bool {
 	if s.par == nil {
-		return s.execSerial(external, fn)
+		return s.enqueue(t, external)
 	}
-	return s.par.enqueue(s.par.partOf(key), s.par.ruleFootprint(r), external, fn)
+	return s.par.enqueue(s.par.partOf(key), s.par.ruleFootprint(r), external, t)
 }
 
 // execAll routes a unit that may touch anything — periodic ticks, custom
 // message handlers, Do — with the full footprint, giving it the same
 // total mutual exclusion the serial queue provides.
-func (s *Shell) execAll(external bool, fn func(*exec)) bool {
+func (s *Shell) execAll(external bool, t task) bool {
 	if s.par == nil {
-		return s.execSerial(external, fn)
+		return s.enqueue(t, external)
 	}
-	return s.par.enqueue(0, s.par.all, external, fn)
+	return s.par.enqueue(0, s.par.all, external, t)
 }
 
 // Workers reports the engine's partition count (1 = serial).

@@ -107,7 +107,7 @@ type Shell struct {
 
 	// run-to-completion event queue
 	qmu        sync.Mutex
-	queue      funcRing
+	queue      ring[task]
 	processing bool
 	// qcond wakes AdmitBlock waiters as the queue drains; procGID is the
 	// goroutine currently draining, recorded so a blocked-admission caller
@@ -581,10 +581,10 @@ func (s *Shell) Start() error {
 		p := p
 		site := site
 		tm := vclock.Every(s.clock, p, func() {
-			s.execAll(false, func(x *exec) {
+			s.execAll(false, task{fn: func(x *exec) {
 				e := x.record(&event.Event{Time: s.clock.Now(), Site: site, Desc: event.P(p)})
 				x.handleEvent(e)
-			})
+			}})
 		})
 		s.periodics = append(s.periodics, tm)
 	}
@@ -644,53 +644,102 @@ func (s *Shell) Stop() {
 	s.started = false
 }
 
-// funcRing is a reusable FIFO ring buffer of queued thunks.  The post
-// queue used to be a slice resliced on every pop, which leaks the drained
-// prefix's capacity and reallocates the backing array on every burst; the
-// ring reuses its storage across bursts and grows only when a burst
-// outsizes every previous one.
-type funcRing struct {
-	buf  []func()
+// ring is a reusable FIFO ring buffer: the serial post queue, a
+// partition's unit queue and a unit's continuations.  A slice resliced on
+// every pop would leak the drained prefix's capacity and reallocate on
+// every burst; the ring reuses its storage across bursts and grows only
+// when a burst outsizes every previous one.
+type ring[T any] struct {
+	buf  []T
 	head int
 	n    int
 }
 
-func (r *funcRing) push(f func()) {
+func (r *ring[T]) push(v T) {
 	if r.n == len(r.buf) {
-		grown := make([]func(), max(8, 2*len(r.buf)))
+		grown := make([]T, max(8, 2*len(r.buf)))
 		for i := 0; i < r.n; i++ {
 			grown[i] = r.buf[(r.head+i)%len(r.buf)]
 		}
 		r.buf, r.head = grown, 0
 	}
-	r.buf[(r.head+r.n)%len(r.buf)] = f
+	r.buf[(r.head+r.n)%len(r.buf)] = v
 	r.n++
 }
 
-// pop removes and returns the oldest thunk, or nil when empty.  The slot
-// is cleared so the ring does not pin executed closures.
-func (r *funcRing) pop() func() {
+// pop removes and returns the oldest entry; ok is false when empty.  The
+// slot is cleared so the ring does not pin what the entry referenced.
+func (r *ring[T]) pop() (v T, ok bool) {
 	if r.n == 0 {
-		return nil
+		return v, false
 	}
-	f := r.buf[r.head]
-	r.buf[r.head] = nil
+	v = r.buf[r.head]
+	var zero T
+	r.buf[r.head] = zero
 	r.head = (r.head + 1) % len(r.buf)
 	r.n--
-	return f
+	return v, true
 }
 
-// post runs f on the shell's run-to-completion queue: events generated
-// while handling an event are processed after it, never reentrantly.
-// Internal continuations use post directly and are always admitted.
-func (s *Shell) post(f func()) { s.enqueue(f, false) }
+// taskKind selects what a queued task runs.
+type taskKind uint8
 
-// enqueue is post plus admission control.  External work (external=true)
-// is subject to Options.QueueLimit and the configured Admission policy;
-// it reports whether the work was admitted.  Admitted work always keeps
-// its arrival order — shedding drops whole units, never reorders — so the
-// Appendix A.2 ordering properties are preserved for admitted events.
-func (s *Shell) enqueue(f func(), external bool) bool {
+const (
+	taskThunk  taskKind = iota // fn
+	taskWs                     // a spontaneous write (spontaneousLocal)
+	taskNotify                 // a translator change's Ws/N pair (notifyLocal)
+	taskFire                   // a local RHS continuation (dispatch)
+)
+
+// task is one entry of the serial post queue, a partition queue or a
+// unit's continuation queue.  The three hot entries carry their arguments
+// by value, so queueing them allocates nothing; all other work is a
+// thunk.
+type task struct {
+	kind taskKind
+	// pooled marks a taskFire whose bindings came from the exec's free
+	// list and go back to it once the RHS has run.
+	pooled   bool
+	fn       func(*exec)
+	site     string
+	item     data.ItemName
+	old, new data.Value
+	r        *rule.Rule
+	b        event.Bindings
+	trigger  *event.Event
+}
+
+// run executes one task on the exec.
+func (x *exec) run(t *task) {
+	switch t.kind {
+	case taskWs:
+		e := x.record(&event.Event{Time: x.s.clock.Now(), Site: t.site, Desc: event.Ws(t.item, t.old, t.new)})
+		x.handleEvent(e)
+	case taskNotify:
+		now := x.s.clock.Now()
+		ws := x.record(&event.Event{Time: now, Site: t.site, Desc: event.Ws(t.item, t.old, t.new)})
+		notifRule := x.s.implicitRule("notify", t.site, t.item)
+		n := x.record(&event.Event{Time: now, Site: t.site, Desc: event.N(t.item, t.new), Rule: notifRule.ID, Trigger: ws})
+		x.handleEvent(ws)
+		x.handleEvent(n)
+	case taskFire:
+		x.executeSteps(t.r, t.b, t.trigger)
+		if t.pooled {
+			x.releaseBindings(t.b)
+		}
+	default:
+		t.fn(x)
+	}
+}
+
+// enqueue runs t on the serial run-to-completion post queue: events
+// generated while handling an event run after it, never reentrantly.
+// Internal continuations (external=false) are always admitted; external
+// work is subject to Options.QueueLimit and the Admission policy.  It
+// reports whether t was admitted.  Admitted work keeps its arrival order
+// — shedding drops whole units, never reorders — so the Appendix A.2
+// ordering properties hold for admitted events.
+func (s *Shell) enqueue(t task, external bool) bool {
 	gated := external && s.opts.QueueLimit > 0
 	s.qmu.Lock()
 	for gated && s.queue.n >= s.opts.QueueLimit {
@@ -710,7 +759,7 @@ func (s *Shell) enqueue(f func(), external bool) bool {
 		}
 		s.qcond.Wait()
 	}
-	s.queue.push(f)
+	s.queue.push(t)
 	s.m.qdepth.Set(int64(s.queue.n))
 	if s.processing {
 		s.qmu.Unlock()
@@ -721,10 +770,10 @@ func (s *Shell) enqueue(f func(), external bool) bool {
 		s.procGID = curGID()
 	}
 	for {
-		next := s.queue.pop()
+		next, ok := s.queue.pop()
 		s.m.qdepth.Set(int64(s.queue.n))
 		s.qcond.Signal()
-		if next == nil {
+		if !ok {
 			s.processing = false
 			s.procGID = 0
 			s.qcond.Broadcast()
@@ -732,7 +781,7 @@ func (s *Shell) enqueue(f func(), external bool) bool {
 			return true
 		}
 		s.qmu.Unlock()
-		next()
+		s.eng.run(&next)
 		s.qmu.Lock()
 	}
 }
@@ -839,18 +888,7 @@ func (s *Shell) onSourceChange(site string, item data.ItemName, old, new data.Va
 // notifyLocal records the Ws/N pair for a spontaneous source change and
 // runs the rules it triggers.  The owner-side half of onSourceChange.
 func (s *Shell) notifyLocal(site string, item data.ItemName, old, new data.Value) {
-	s.execBase(item.Base, true, func(x *exec) {
-		now := s.clock.Now()
-		ws := x.record(&event.Event{Time: now, Site: site, Desc: event.Ws(item, old, new)})
-		notifRule := s.implicitRule("notify", site, item)
-		n := x.record(&event.Event{
-			Time: now, Site: site,
-			Desc: event.N(item, new),
-			Rule: notifRule.ID, Trigger: ws,
-		})
-		x.handleEvent(ws)
-		x.handleEvent(n)
-	})
+	s.execBase(item.Base, true, task{kind: taskNotify, site: site, item: item, old: old, new: new})
 }
 
 // Spontaneous injects a spontaneous write for items without a translator
@@ -876,10 +914,7 @@ func (s *Shell) spontaneousLocal(item data.ItemName, old, new data.Value) {
 			s.setPrivate(item, new)
 		}
 	}
-	s.execBase(item.Base, true, func(x *exec) {
-		e := x.record(&event.Event{Time: s.clock.Now(), Site: site, Desc: event.Ws(item, old, new)})
-		x.handleEvent(e)
-	})
+	s.execBase(item.Base, true, task{kind: taskWs, site: site, item: item, old: old, new: new})
 }
 
 // handleEvent matches an event against the owned rules and dispatches
@@ -904,8 +939,9 @@ func (x *exec) handleEvent(e *event.Event) {
 
 // matchRule tries one rule against one event, dispatching on a match
 // whose condition holds.  The scratch bindings map is reused across
-// attempts (each exec is single-threaded) and cloned only for actual
-// firings.
+// attempts (each exec is single-threaded) and copied only for actual
+// firings: an inline firing into a map from the exec's free list, a
+// delayed one into a fresh map, since it leaves the exec on a timer.
 func (x *exec) matchRule(r *rule.Rule, e *event.Event) {
 	s := x.s
 	b := x.scratchB
@@ -930,33 +966,35 @@ func (x *exec) matchRule(r *rule.Rule, e *event.Event) {
 		}
 	}
 	s.m.matches.Inc()
-	bCopy := b.Clone()
 	if s.opts.FireDelay == 0 {
 		// Dispatch inline: the exec runs one unit at a time, so firings
 		// leave in match order and the FIFO transport keeps them ordered —
 		// required on the real clock, where timer goroutines would
 		// otherwise race (Appendix A.2 property 7).
-		x.dispatch(r, bCopy, e)
+		x.dispatch(r, x.copyBindings(b), e, true)
 		return
 	}
+	bCopy := b.Clone()
 	trigger := e
 	s.clock.AfterFunc(s.opts.FireDelay, func() {
 		// The timer goroutine is outside any unit: in serial mode dispatch
 		// posts to the shell queue exactly as before; in parallel mode the
 		// delayed firing becomes its own unit keyed by the rule.
 		if s.par != nil {
-			s.execRuleKey("rule:"+r.ID, r, false, func(x *exec) {
-				x.dispatch(r, bCopy, trigger)
-			})
+			s.execRuleKey("rule:"+r.ID, r, false, task{fn: func(x *exec) {
+				x.dispatch(r, bCopy, trigger, false)
+			}})
 			return
 		}
-		s.eng.dispatch(r, bCopy, trigger)
+		s.eng.dispatch(r, bCopy, trigger, false)
 	})
 }
 
 // dispatch routes a rule firing to the shell hosting the RHS site.  It
-// takes ownership of b.
-func (x *exec) dispatch(r *rule.Rule, b event.Bindings, trigger *event.Event) {
+// takes ownership of b; pooled says b came from x's free list, which it
+// rejoins after a local RHS has run.  A remote firing keeps its map: the
+// message (and a reliable link's outbox) owns it from then on.
+func (x *exec) dispatch(r *rule.Rule, b event.Bindings, trigger *event.Event, pooled bool) {
 	s := x.s
 	effSite, err := effectSite(s.spec, *r)
 	if err != nil || effSite == "" {
@@ -979,20 +1017,16 @@ func (x *exec) dispatch(r *rule.Rule, b event.Bindings, trigger *event.Event) {
 	}
 	if target == s.id {
 		s.m.localFires.Inc()
-		s.m.ring.Record(obs.FireTrace{
-			Rule: r.ID, Shell: s.id, Site: trigger.Site,
-			Outcome: obs.OutcomeLocal,
-			TriggerDesc: &trigger.Desc, Seq: trigger.Seq,
-			Matched: trigger.Time, Dispatched: s.clock.Now(),
-		})
+		s.recordFire(r, trigger, "", obs.OutcomeLocal, s.clock.Now())
+		t := task{kind: taskFire, pooled: pooled, r: r, b: b, trigger: trigger}
 		if x.unit != nil {
 			// The cascade stays inside the current unit: the continuation
 			// runs after the trigger's other matches, exactly like the
 			// serial queue, and its events commit in the same seq block.
-			x.unit.cont.push(func() { x.executeSteps(r, b, trigger) })
+			x.unit.cont.push(t)
 			return
 		}
-		s.post(func() { s.eng.executeSteps(r, b, trigger) })
+		s.enqueue(t, false)
 		return
 	}
 	if s.ep == nil {
@@ -1041,12 +1075,7 @@ func (s *Shell) sendFire(ps pendingSend) {
 		// a reliable endpoint never errors here — it buffers and reports
 		// link health through onLinkEvent instead.
 		s.m.droppedFires.Inc()
-		s.m.ring.Record(obs.FireTrace{
-			Rule: r.ID, Shell: s.id, Site: trigger.Site, Target: ps.target,
-			Outcome: obs.OutcomeDropped,
-			TriggerDesc: &trigger.Desc, Seq: trigger.Seq,
-			Matched: trigger.Time, Dispatched: s.clock.Now(),
-		})
+		s.recordFire(r, trigger, ps.target, obs.OutcomeDropped, s.clock.Now())
 		s.reportFailure(cmi.Failure{
 			Kind: cmi.FailMetric, Site: ps.effSite, When: s.clock.Now(),
 			Op:  "send fire " + r.ID,
@@ -1054,12 +1083,18 @@ func (s *Shell) sendFire(ps pendingSend) {
 		}, true)
 		return
 	}
-	s.m.ring.Record(obs.FireTrace{
-		Rule: r.ID, Shell: s.id, Site: trigger.Site, Target: ps.target,
-		Outcome: obs.OutcomeSent,
-		TriggerDesc: &trigger.Desc, Seq: trigger.Seq,
-		Matched: trigger.Time, Dispatched: s.clock.Now(),
-	})
+	s.recordFire(r, trigger, ps.target, obs.OutcomeSent, s.clock.Now())
+}
+
+// recordFire adds one hop of a firing of r on trigger to the fire ring,
+// stamped at its dispatch time (execution time for OutcomeExecuted).
+func (s *Shell) recordFire(r *rule.Rule, trigger *event.Event, target, outcome string, at time.Time) {
+	ft := obs.FireTrace{Rule: r.ID, Shell: s.id, Site: trigger.Site, Target: target, Outcome: outcome,
+		TriggerDesc: &trigger.Desc, Seq: trigger.Seq, Matched: trigger.Time, Dispatched: at}
+	if outcome == obs.OutcomeExecuted {
+		ft.Dispatched, ft.Executed = time.Time{}, at
+	}
+	s.m.ring.Record(ft)
 }
 
 // receive handles an inbound transport message.
@@ -1118,7 +1153,7 @@ func (s *Shell) receive(m transport.Message) {
 		// for different bases at the same effect site must not commit
 		// inverted (Appendix A.2 property 7 groups by trigger and effect
 		// site, not by item).
-		s.execRuleKey("link:"+m.From, r, true, func(x *exec) { x.executeSteps(r, b, trigger) })
+		s.execRuleKey("link:"+m.From, r, true, task{fn: func(x *exec) { x.executeSteps(r, b, trigger) }})
 	case "failure":
 		kind := cmi.FailMetric
 		if m.FailKind == "logical" {
@@ -1149,7 +1184,7 @@ func (s *Shell) receiveCustom(m transport.Message) {
 	fn := s.custom[m.Kind]
 	s.failMu.Unlock()
 	if fn != nil {
-		s.execAll(false, func(*exec) { fn(m) })
+		s.execAll(false, task{fn: func(*exec) { fn(m) }})
 	}
 }
 
@@ -1172,7 +1207,7 @@ func (s *Shell) requestWriteLocal(item data.ItemName, v data.Value) {
 	if !ok {
 		site = s.id
 	}
-	s.execBase(item.Base, true, func(x *exec) {
+	s.execBase(item.Base, true, task{fn: func(x *exec) {
 		desc := event.WR(item, v)
 		wr := x.record(&event.Event{Time: s.clock.Now(), Site: site, Desc: desc})
 		x.handleEvent(wr)
@@ -1180,22 +1215,8 @@ func (s *Shell) requestWriteLocal(item data.ItemName, v data.Value) {
 		if s.spec.Private[item.Base] != "" {
 			iface = nil // CM-private items never go through a translator
 		}
-		if iface == nil {
-			s.setPrivate(item, v)
-			writeRule := s.implicitRule("write", site, item)
-			w := x.record(&event.Event{Time: s.clock.Now(), Site: site,
-				Desc: event.W(item, v), Rule: writeRule.ID, Trigger: wr})
-			x.handleEvent(w)
-			return
-		}
-		if !s.translatorWrite(iface, desc) {
-			return
-		}
-		writeRule := s.implicitRule("write", site, item)
-		w := x.record(&event.Event{Time: s.clock.Now(), Site: site,
-			Desc: event.W(item, v), Rule: writeRule.ID, Trigger: wr})
-		x.handleEvent(w)
-	})
+		x.performWrite(iface, desc, site, wr)
+	}})
 }
 
 // Interface returns the translator for a hosted site (nil when the site
@@ -1205,7 +1226,7 @@ func (s *Shell) Interface(site string) cmi.Interface { return s.sites[site] }
 // Do runs f on the shell's event queue, serialized with event handling.
 // In parallel mode the unit takes the full footprint, so f excludes every
 // concurrent rule firing, like the serial queue always did.
-func (s *Shell) Do(f func()) { s.execAll(false, func(*exec) { f() }) }
+func (s *Shell) Do(f func()) { s.execAll(false, task{fn: func(*exec) { f() }}) }
 
 // HandleKind registers a handler for a custom inter-shell message kind
 // (programmatic strategy components such as the Demarcation Protocol use
@@ -1242,17 +1263,13 @@ func stubTrigger(ref transport.EventRef) *event.Event {
 }
 
 // executeSteps runs the RHS of a rule at this shell.  Runs on the queue
-// or inside a unit; it owns b (both callers — dispatch and receive — hand
-// over a private map, so no defensive clone is needed to extend it).
+// or inside a unit; it owns b until it returns (both callers — dispatch
+// and receive — hand over a private map, so no defensive clone is needed
+// to extend it) and keeps no reference to it.
 func (x *exec) executeSteps(r *rule.Rule, b event.Bindings, trigger *event.Event) {
 	s := x.s
 	now := s.clock.Now()
-	s.m.ring.Record(obs.FireTrace{
-		Rule: r.ID, Shell: s.id, Site: trigger.Site,
-		Outcome: obs.OutcomeExecuted,
-		TriggerDesc: &trigger.Desc, Seq: trigger.Seq,
-		Matched: trigger.Time, Executed: now,
-	})
+	s.recordFire(r, trigger, "", obs.OutcomeExecuted, now)
 	if d := now.Sub(trigger.Time); d >= 0 && !trigger.Time.IsZero() {
 		x.latency.Observe(d.Seconds())
 	}
@@ -1332,33 +1349,12 @@ func (x *exec) emit(r *rule.Rule, desc event.Desc, site string, trigger *event.E
 	case event.OpWR:
 		wr := x.record(&event.Event{Time: now, Site: site, Desc: desc, Rule: r.ID, Trigger: trigger})
 		x.handleEvent(wr)
-		iface := s.sites[site]
-		if iface == nil {
-			// No translator: treat as a write to private/engine state.
-			x.performPrivateWrite(r, desc, site, wr)
-			return
-		}
-		if !s.translatorWrite(iface, desc) {
-			return // failure already reported by the translator hub
-		}
-		writeRule := s.implicitRule("write", site, desc.Item)
-		w := x.record(&event.Event{
-			Time: s.clock.Now(), Site: site,
-			Desc: event.W(desc.Item, desc.Val),
-			Rule: writeRule.ID, Trigger: wr,
-		})
-		x.handleEvent(w)
+		x.performWrite(s.sites[site], desc, site, wr)
 	case event.OpW:
 		// Direct write: CM-private items live in the shell; a W effect on
 		// a database item performs the write immediately (no request hop).
-		if s.spec.Private[desc.Item.Base] != "" {
-			w := x.record(&event.Event{Time: now, Site: site, Desc: desc, Rule: r.ID, Trigger: trigger})
-			s.setPrivate(desc.Item, desc.Val)
-			x.handleEvent(w)
-			return
-		}
 		iface := s.sites[site]
-		if iface == nil {
+		if s.spec.Private[desc.Item.Base] != "" || iface == nil {
 			w := x.record(&event.Event{Time: now, Site: site, Desc: desc, Rule: r.ID, Trigger: trigger})
 			s.setPrivate(desc.Item, desc.Val)
 			x.handleEvent(w)
@@ -1405,9 +1401,16 @@ func (x *exec) emit(r *rule.Rule, desc event.Desc, site string, trigger *event.E
 	}
 }
 
-func (x *exec) performPrivateWrite(r *rule.Rule, desc event.Desc, site string, wr *event.Event) {
+// performWrite carries out the write request wr: into CM-private state
+// when there is no translator (iface nil), else through the translator,
+// then records the performed W under the implicit write rule.
+func (x *exec) performWrite(iface cmi.Interface, desc event.Desc, site string, wr *event.Event) {
 	s := x.s
-	s.setPrivate(desc.Item, desc.Val)
+	if iface == nil {
+		s.setPrivate(desc.Item, desc.Val)
+	} else if !s.translatorWrite(iface, desc) {
+		return // failure already reported by the translator hub
+	}
 	writeRule := s.implicitRule("write", site, desc.Item)
 	w := x.record(&event.Event{
 		Time: s.clock.Now(), Site: site,
@@ -1629,14 +1632,6 @@ func (s *Shell) reportFailure(f cmi.Failure, propagate bool) {
 			FailErr:  fmt.Sprint(f.Err),
 		})
 	}
-}
-
-func encodeBindings(b event.Bindings) map[string]string {
-	out := make(map[string]string, len(b))
-	for k, v := range b {
-		out[k] = v.String()
-	}
-	return out
 }
 
 func decodeBindings(m map[string]string) (event.Bindings, error) {
